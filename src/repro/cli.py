@@ -698,7 +698,7 @@ def _cmd_bench_pipelining(args) -> int:
                            topology=topology)
 
     def cell(result) -> dict:
-        summary = result.stats.pipeline_summary()
+        summary = result.stats.summary("pipeline")
         summary["frame_cycles"] = result.frame_cycles
         summary["comp_overlap_cycles"] = round(
             summary["comp_overlap_cycles"], 2)

@@ -90,8 +90,6 @@ class ImageCompositionScheduler:
         self._open: List[int] = []
         #: per-CGID partner restriction (None entry = all-to-all)
         self._group_allowed: Dict[int, Optional[List[Set[int]]]] = {}
-        #: fail-stopped GPUs, removed from every group's partner sets
-        self._excluded: Set[int] = set()
         #: high-water mark of concurrently open groups (for RunStats)
         self.groups_peak = 0
         self._waiters: List[Event] = []
@@ -183,16 +181,10 @@ class ImageCompositionScheduler:
 
     def partners_of(self, gpu: int) -> Set[int]:
         """Partner set of this GPU *in its row's current group*."""
-        if gpu in self._excluded:
-            return set()
         allowed = self._group_allowed.get(self.table[gpu].cgid)
         if allowed is not None:
-            base = allowed[gpu]
-        else:
-            base = {g for g in range(self.num_gpus) if g != gpu}
-        if self._excluded:
-            return base - self._excluded
-        return base
+            return allowed[gpu]
+        return {g for g in range(self.num_gpus) if g != gpu}
 
     def find_sender_for(self, receiver: int) -> Optional[int]:
         """A sender this receiver may compose with now (Fig 12 conditions)."""
@@ -228,29 +220,6 @@ class ImageCompositionScheduler:
         r.receiving = False
         s.sent_gpus.add(receiver)
         r.received_gpus.add(sender)
-        self._notify()
-
-    def exclude_gpu(self, gpu: int) -> None:
-        """Drop a fail-stopped GPU from every partner set (degraded mode).
-
-        The exclusion spans *every* in-flight group — a dead GPU is dead for
-        the whole window. Its row keeps whatever state it had, but no
-        survivor will be paired with it any more and its own partner set
-        empties, so :meth:`gpu_done` holds for it trivially.
-        """
-        if not 0 <= gpu < self.num_gpus:
-            raise SchedulingError(f"cannot exclude unknown GPU{gpu}")
-        self._record_table_access()
-        self._excluded.add(gpu)
-        self._notify()
-
-    def extend_partners(self, gpu: int, partners: Set[int]) -> None:
-        """Widen a GPU's allowed partner set in its row's current group
-        (tree reductions grow reach)."""
-        allowed = self._group_allowed.get(self.table[gpu].cgid)
-        if allowed is None:
-            return
-        allowed[gpu] = set(partners)
         self._notify()
 
     # -- completion tests ----------------------------------------------------

@@ -343,23 +343,12 @@ class FrameServer:
         self._fault_index = 0
         self._arrivals_done = False
         self._next_index = 0
-        self.total_requests = 0
-        self.total_admitted = 0
-        self.total_completed = 0
-        self.total_rejected = 0
-        self.total_throttled = 0
-        self.total_shed = 0
-        self.total_requeued = 0
-        self.total_batches = 0
-        self.total_overlap_cycles = 0.0
-        self.total_overlapped_batches = 0
+        #: the run's counters, counted into directly as requests move
+        self.stats = RunStats(num_gpus=self.groups * self.group_gpus)
         #: per group: (completion cycle, benchmark) of the last batch it
         #: finished cleanly — the overlap window for a back-to-back next one
         self._group_last_done: List[Optional[Tuple[float, str]]] = \
             [None] * self.groups
-        self.queue_peak = 0
-        self.total_deadline_misses = 0
-        self.degraded_events = 0
         self.shed_reasons: Dict[str, int] = {}
         self.latencies_cycles: List[float] = []
         self.completion_times_cycles: List[float] = []
@@ -390,7 +379,7 @@ class FrameServer:
             sim.run()
         except WatchdogError as exc:
             degraded = True
-            self.degraded_events += 1
+            self.stats.serve_degraded_events += 1
             self._event("watchdog-trip", str(exc))
             self._shed_everything(SHED_WATCHDOG)
             self.drained_at_cycles = sim.now
@@ -398,7 +387,7 @@ class FrameServer:
             if self.queue or any(self.in_flight):
                 # should be unreachable; a clean drain always empties both
                 degraded = True
-                self.degraded_events += 1
+                self.stats.serve_degraded_events += 1
                 self._event("stalled", "run ended with unserved requests "
                             "still queued or in flight")
                 self._shed_everything(SHED_STALLED)
@@ -438,7 +427,7 @@ class FrameServer:
                     return
                 continue
             self.in_flight[group] = batch
-            self.total_batches += 1
+            self.stats.serve_batches += 1
             service_cycles = self._batch_service_cycles(batch)
             if self.pipeline_overlap:
                 service_cycles -= self._overlap_credit(group, batch,
@@ -475,7 +464,7 @@ class FrameServer:
     def _submit(self, arrival) -> None:
         session = self.sessions[arrival.session]
         session.submitted += 1
-        self.total_requests += 1
+        self.stats.serve_requests += 1
         request = Request(index=self._next_index,
                           session=arrival.session,
                           benchmark=arrival.benchmark,
@@ -503,8 +492,9 @@ class FrameServer:
                                           + self.deadline_cycles)
         self.queue.append(request)
         session.admitted += 1
-        self.total_admitted += 1
-        self.queue_peak = max(self.queue_peak, len(self.queue))
+        self.stats.serve_admitted += 1
+        self.stats.serve_queue_peak = max(self.stats.serve_queue_peak,
+                                          len(self.queue))
         self._signal_work()
 
     def _refuse(self, request: Request, reason: str,
@@ -513,17 +503,17 @@ class FrameServer:
         session = self.sessions[request.session]
         if throttle:
             session.throttled += 1
-            self.total_throttled += 1
+            self.stats.serve_throttled += 1
         else:
             session.rejected += 1
-            self.total_rejected += 1
+            self.stats.serve_rejected += 1
         self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
 
     def _shed(self, request: Request, reason: str) -> None:
         """Drop an already-admitted request with a typed reason."""
         session = self.sessions[request.session]
         session.shed += 1
-        self.total_shed += 1
+        self.stats.serve_shed += 1
         self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
 
     def _evict_expired(self) -> None:
@@ -609,8 +599,8 @@ class FrameServer:
         geom_head = head.get(STAGE_GEOMETRY, 0.0) / self.group_gpus
         credit = min(comp_tail, geom_head, 0.5 * service_cycles)
         if credit > 0.0:
-            self.total_overlap_cycles += credit
-            self.total_overlapped_batches += 1
+            self.stats.serve_overlap_cycles += credit
+            self.stats.serve_overlapped_batches += 1
         return credit
 
     def _batch_service_cycles(self, batch: List[Request]) -> float:
@@ -623,7 +613,7 @@ class FrameServer:
         session = self.sessions[request.session]
         latency_cycles = self.sim.now - request.arrival_cycles
         session.completed += 1
-        self.total_completed += 1
+        self.stats.serve_completed += 1
         session.latency_sum_cycles += latency_cycles
         session.latency_max_cycles = max(session.latency_max_cycles,
                                          latency_cycles)
@@ -632,7 +622,7 @@ class FrameServer:
         if request.deadline_at_cycles is not None \
                 and self.sim.now > request.deadline_at_cycles:
             session.deadline_misses += 1
-            self.total_deadline_misses += 1
+            self.stats.serve_deadline_misses += 1
         served_before = self._served_count.get(request.benchmark, 0)
         self._served_count[request.benchmark] = served_before + 1
         if not (served_before == 0
@@ -652,12 +642,13 @@ class FrameServer:
             elif not survivors and not repairs:
                 self._shed(request, SHED_NO_SURVIVORS)
             else:
-                self.total_requeued += 1
+                self.stats.serve_requeued += 1
                 self.sessions[request.session].requeues += 1
                 self.queue.appendleft(request)
         while len(self.queue) > self.queue_limit:
             self._shed(self.queue.pop(), SHED_EVICTED)
-        self.queue_peak = max(self.queue_peak, len(self.queue))
+        self.stats.serve_queue_peak = max(self.stats.serve_queue_peak,
+                                          len(self.queue))
         self._signal_work()
         self._maybe_finish()
 
@@ -731,29 +722,12 @@ class FrameServer:
     def _build_report(self, degraded: bool, store_delta) -> ServeReport:
         slo = SloSummary.from_latencies(self.latencies_cycles,
                                         self.drained_at_cycles)
-        stats = RunStats(num_gpus=self.groups * self.group_gpus)
+        stats = self.stats
         stats.frame_cycles = self.drained_at_cycles
-        stats.serve_requests = self.total_requests
-        stats.serve_admitted = self.total_admitted
-        stats.serve_completed = self.total_completed
-        stats.serve_rejected = self.total_rejected
-        stats.serve_throttled = self.total_throttled
-        stats.serve_shed = self.total_shed
-        stats.serve_requeued = self.total_requeued
-        stats.serve_batches = self.total_batches
-        stats.serve_overlap_cycles = self.total_overlap_cycles
-        stats.serve_overlapped_batches = self.total_overlapped_batches
-        stats.serve_queue_peak = self.queue_peak
-        stats.serve_deadline_misses = self.total_deadline_misses
-        stats.serve_degraded_events = self.degraded_events
         stats.serve_latency_p50_cycles = slo.p50_cycles
         stats.serve_latency_p95_cycles = slo.p95_cycles
         stats.serve_latency_p99_cycles = slo.p99_cycles
-        stats.artifact_hits = store_delta.hits
-        stats.artifact_misses = store_delta.misses
-        stats.artifact_evictions = store_delta.evictions
-        stats.artifact_disk_loads = store_delta.disk_loads
-        stats.artifact_disk_corrupt = store_delta.disk_corrupt
+        stats.record_store_growth(store_delta)
         service_cycles = {bench: result.frame_cycles for bench, result
                           in sorted(self.rendered_results.items())}
         return ServeReport(

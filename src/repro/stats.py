@@ -10,13 +10,25 @@ The paper's figures slice execution time along two axes:
 
 :class:`RunStats` accumulates both, per GPU, and provides the aggregations the
 report layer prints.
+
+Every other per-run counter is declared once, as a :class:`RunStats` field
+whose metadata names its group (one of :data:`COUNTER_GROUPS`). The run
+journal (:meth:`RunStats.to_dict` / :meth:`RunStats.from_dict`), the
+per-group :meth:`RunStats.summary` and the export columns
+(:func:`counter_columns`) are derived from those declarations, so adding a
+counter is one declaration line. Optional metadata keys:
+
+- ``journal=False``: the field is not written to the run journal;
+- ``column``: the export column is the attribute of that name (a property
+  derived from this field) instead of the field itself;
+- ``export``: a function applied to the value before it is exported.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping
+from dataclasses import dataclass, field, fields
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 # Canonical stage names, in the order the paper's breakdown figures stack them.
 STAGE_GEOMETRY = "geometry"
@@ -40,6 +52,14 @@ TRAFFIC_COMPOSITION = "composition"
 TRAFFIC_PRIMITIVES = "primitives"
 TRAFFIC_SYNC = "sync"
 TRAFFIC_SCHEDULER = "scheduler"
+
+#: counter groups, in the order their fields are declared (and exported)
+COUNTER_GROUPS = ("fault", "engine", "artifact", "serve", "pipeline")
+
+
+def _counter(group: str, default: object = 0, **metadata):
+    """A :class:`RunStats` counter field in ``group``."""
+    return field(default=default, metadata={"group": group, **metadata})
 
 
 @dataclass
@@ -81,101 +101,107 @@ class RunStats:
     accelerated_groups: int = 0
     #: per-draw (draw_index, triangles, geometry_cycles, total_cycles) samples,
     #: recorded when tracing is on (Fig 9)
-    draw_samples: List[tuple] = field(default_factory=list)
+    draw_samples: List[tuple] = field(default_factory=list,
+                                      metadata={"journal": False})
 
     # -- fault injection / degraded mode (see repro.faults) ----------------
     #: link-level retransmissions caused by injected drop/corrupt errors
-    link_retries: int = 0
+    link_retries: int = _counter("fault")
+    dropped_transfers: int = _counter("fault")
+    corrupted_transfers: int = _counter("fault")
     #: payload bytes streamed again due to retries (not counted as traffic)
-    retransmitted_bytes: float = 0.0
+    retransmitted_bytes: float = _counter("fault", 0.0)
     #: cycles links spent in error detection + exponential backoff
-    backoff_cycles: float = 0.0
-    dropped_transfers: int = 0
-    corrupted_transfers: int = 0
-    #: GPUs that fail-stopped during this run
-    failed_gpus: List[int] = field(default_factory=list)
+    backoff_cycles: float = _counter("fault", 0.0)
+    #: GPUs that fail-stopped during this run (exported as a count)
+    failed_gpus: List[int] = field(
+        default_factory=list, metadata={"group": "fault", "export": len})
     #: draw commands re-rendered on survivors after a fail-stop
-    redistributed_draws: int = 0
+    redistributed_draws: int = _counter("fault")
     #: engine cycles of re-rendered (recovery) work across survivors
-    recovery_cycles: float = 0.0
-    #: fault-free frame time, recorded when a degraded run was compared
-    baseline_frame_cycles: float = 0.0
+    recovery_cycles: float = _counter("fault", 0.0)
+    #: fault-free frame time, recorded when a degraded run was compared;
+    #: exported as the recovery overhead it implies
+    baseline_frame_cycles: float = _counter(
+        "fault", 0.0, column="recovery_overhead_cycles")
     #: position of this frame in a multi-frame soak run (0 outside soak)
-    frame_index: int = 0
+    frame_index: int = _counter("fault")
     #: failure-trace events that fell inside this frame's window (soak runs)
-    fault_events: int = 0
+    fault_events: int = _counter("fault")
 
     # -- harness supervision (see repro.harness.engine) --------------------
+    # Not journaled: the engine stamps them onto every replayed result.
     #: attempts the job that produced this run consumed (1 = first try)
-    job_attempts: int = 0
+    job_attempts: int = _counter("engine", journal=False)
     #: attempts that were retried after a transient failure
-    job_retries: int = 0
+    job_retries: int = _counter("engine", journal=False)
     #: attempts killed for exceeding the wall-clock budget
-    job_timeouts: int = 0
+    job_timeouts: int = _counter("engine", journal=False)
     #: True when this result was replayed from a run journal, not simulated
-    job_resumed: bool = False
+    job_resumed: bool = _counter("engine", False, journal=False)
 
     # -- race-sanitizer coverage (see repro.analysis.sanitizer) ------------
     #: shared-state accesses the race sanitizer recorded during this run
     #: (0 when the run was not sanitized — coverage, not a conflict count)
-    sanitizer_accesses: int = 0
+    sanitizer_accesses: int = _counter("engine")
 
     # -- artifact store usage (see repro.render.store) ---------------------
     #: store lookups this run served from cache (geometry artifacts,
     #: reference passes, functional preps) / recomputed / evicted / read
-    #: back from the disk tier; all 0 when the result itself was a hit
-    artifact_hits: int = 0
-    artifact_misses: int = 0
-    artifact_evictions: int = 0
-    artifact_disk_loads: int = 0
+    #: back from the disk tier; all 0 when the result itself was a hit.
+    #: Each ``artifact_<name>`` mirrors ``StoreCounters.<name>``.
+    artifact_hits: int = _counter("artifact")
+    artifact_misses: int = _counter("artifact")
+    artifact_evictions: int = _counter("artifact")
+    artifact_disk_loads: int = _counter("artifact")
     #: disk-spill files rejected by the integrity check during this run
     #: (each one turned a would-be disk hit into a recompute)
-    artifact_disk_corrupt: int = 0
+    artifact_disk_corrupt: int = _counter("artifact")
 
     # -- frame serving (see repro.serve) ------------------------------------
     #: request accounting for a serve run: submissions, admissions, refusals
     #: at the door (queue-full rejects, budget throttles), post-admission
     #: drops (sheds), and requests that were re-queued after a GPU failure.
     #: All 0 for ordinary batch runs.
-    serve_requests: int = 0
-    serve_admitted: int = 0
-    serve_completed: int = 0
-    serve_rejected: int = 0
-    serve_throttled: int = 0
-    serve_shed: int = 0
-    serve_requeued: int = 0
+    serve_requests: int = _counter("serve")
+    serve_admitted: int = _counter("serve")
+    serve_completed: int = _counter("serve")
+    serve_rejected: int = _counter("serve")
+    serve_throttled: int = _counter("serve")
+    serve_shed: int = _counter("serve")
+    serve_requeued: int = _counter("serve")
     #: batches dispatched to render groups
-    serve_batches: int = 0
+    serve_batches: int = _counter("serve")
     #: peak admission-queue depth observed
-    serve_queue_peak: int = 0
+    serve_queue_peak: int = _counter("serve")
     #: completed requests that finished after their deadline
-    serve_deadline_misses: int = 0
+    serve_deadline_misses: int = _counter("serve")
     #: degraded-mode events (watchdog trips, post-run stalled sweeps)
-    serve_degraded_events: int = 0
+    serve_degraded_events: int = _counter("serve")
     #: request latency percentiles over completed requests (virtual cycles)
-    serve_latency_p50_cycles: float = 0.0
-    serve_latency_p95_cycles: float = 0.0
-    serve_latency_p99_cycles: float = 0.0
+    serve_latency_p50_cycles: float = _counter("serve", 0.0)
+    serve_latency_p95_cycles: float = _counter("serve", 0.0)
+    serve_latency_p99_cycles: float = _counter("serve", 0.0)
     #: composition cycles a serve batch overlapped with the next request's
     #: geometry (cross-request group pipelining) / batches that overlapped
-    serve_overlap_cycles: float = 0.0
-    serve_overlapped_batches: int = 0
+    serve_overlap_cycles: float = _counter("serve", 0.0)
+    serve_overlapped_batches: int = _counter("serve")
 
     # -- cross-group pipelining (see repro.sfr.chopin / repro.sfr.dfb) ------
     #: configured in-flight group window (0 = unbounded)
-    pipeline_depth: int = 0
+    pipeline_depth: int = _counter("pipeline")
     #: cycles GPUs spent stalled at a full pipeline window before they
     #: could start rendering the next group
-    pipeline_stall_cycles: float = 0.0
+    pipeline_stall_cycles: float = _counter("pipeline", 0.0)
     #: composition cycles that ran concurrently with later groups'
     #: rendering on the same GPU (the overlap pipelining buys)
-    comp_overlap_cycles: float = 0.0
+    comp_overlap_cycles: float = _counter("pipeline", 0.0)
     #: total GPU-idle cycles over the frame: num_gpus * frame_cycles minus
     #: busy cycles across all stages
-    idle_cycles: float = 0.0
+    idle_cycles: float = _counter("pipeline", 0.0)
     #: high-water mark of concurrently in-flight composition groups in the
     #: (windowed) image composition scheduler table
-    scheduler_groups_peak: int = 0
+    scheduler_groups_peak: int = _counter("pipeline")
 
     def __post_init__(self) -> None:
         if not self.gpus:
@@ -188,6 +214,15 @@ class RunStats:
 
     def add_traffic(self, gpu: int, category: str, num_bytes: float) -> None:
         self.gpus[gpu].traffic_bytes[category] += num_bytes
+
+    def record_store_growth(self, grew) -> None:
+        """Stamp artifact-store counter growth onto the ``artifact`` group.
+
+        ``grew`` is a :class:`~repro.render.store.StoreCounters` delta;
+        each ``artifact_<name>`` counter takes ``grew.<name>``.
+        """
+        for name in _ARTIFACT_FIELDS:
+            setattr(self, name, getattr(grew, name[len("artifact_"):]))
 
     # -- aggregation -------------------------------------------------------
 
@@ -229,215 +264,42 @@ class RunStats:
         return bool(self.link_retries or self.failed_gpus
                     or self.redistributed_draws)
 
-    def fault_summary(self) -> Dict[str, float]:
-        """Flat counters for reports/exports (empty-ish when fault-free)."""
-        return {
-            "link_retries": self.link_retries,
-            "dropped_transfers": self.dropped_transfers,
-            "corrupted_transfers": self.corrupted_transfers,
-            "retransmitted_bytes": self.retransmitted_bytes,
-            "backoff_cycles": self.backoff_cycles,
-            "failed_gpus": len(self.failed_gpus),
-            "redistributed_draws": self.redistributed_draws,
-            "recovery_cycles": self.recovery_cycles,
-            "recovery_overhead_cycles": self.recovery_overhead_cycles,
-            "frame_index": self.frame_index,
-            "fault_events": self.fault_events,
-        }
+    def summary(self, group: Optional[str] = None) -> Dict[str, object]:
+        """Flat export columns of one counter group (every group if None).
 
-    def engine_summary(self) -> Dict[str, object]:
-        """Supervision counters for reports/exports (zero when unsupervised)."""
-        return {
-            "job_attempts": self.job_attempts,
-            "job_retries": self.job_retries,
-            "job_timeouts": self.job_timeouts,
-            "job_resumed": self.job_resumed,
-            "sanitizer_accesses": self.sanitizer_accesses,
-        }
-
-    def artifact_summary(self) -> Dict[str, int]:
-        """Artifact-store counters for reports/exports (zero on a hit)."""
-        return {
-            "artifact_hits": self.artifact_hits,
-            "artifact_misses": self.artifact_misses,
-            "artifact_evictions": self.artifact_evictions,
-            "artifact_disk_loads": self.artifact_disk_loads,
-            "artifact_disk_corrupt": self.artifact_disk_corrupt,
-        }
-
-    def serve_summary(self) -> Dict[str, object]:
-        """Frame-serving counters for reports/exports (zero outside serve)."""
-        return {
-            "serve_requests": self.serve_requests,
-            "serve_admitted": self.serve_admitted,
-            "serve_completed": self.serve_completed,
-            "serve_rejected": self.serve_rejected,
-            "serve_throttled": self.serve_throttled,
-            "serve_shed": self.serve_shed,
-            "serve_requeued": self.serve_requeued,
-            "serve_batches": self.serve_batches,
-            "serve_queue_peak": self.serve_queue_peak,
-            "serve_deadline_misses": self.serve_deadline_misses,
-            "serve_degraded_events": self.serve_degraded_events,
-            "serve_latency_p50_cycles": self.serve_latency_p50_cycles,
-            "serve_latency_p95_cycles": self.serve_latency_p95_cycles,
-            "serve_latency_p99_cycles": self.serve_latency_p99_cycles,
-            "serve_overlap_cycles": self.serve_overlap_cycles,
-            "serve_overlapped_batches": self.serve_overlapped_batches,
-        }
-
-    def pipeline_summary(self) -> Dict[str, object]:
-        """Cross-group pipelining counters for reports/exports."""
-        return {
-            "pipeline_depth": self.pipeline_depth,
-            "pipeline_stall_cycles": self.pipeline_stall_cycles,
-            "comp_overlap_cycles": self.comp_overlap_cycles,
-            "idle_cycles": self.idle_cycles,
-            "scheduler_groups_peak": self.scheduler_groups_peak,
-        }
+        Zero for a group that did not apply to this run: fault-free,
+        unsupervised, store hit, outside serve, no pipelined composition.
+        """
+        row: Dict[str, object] = {}
+        for column, convert in _EXPORTS[group]:
+            value = getattr(self, column)
+            row[column] = value if convert is None else convert(value)
+        return row
 
     # -- serialization (run journal, see repro.harness.engine) -------------
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot (everything except draw samples).
+        """JSON-serializable snapshot of every journaled field.
 
         Floats survive a ``json`` round trip bit-exactly, so a journaled
         run replays with identical cycle counts.
         """
-        return {
-            "num_gpus": self.num_gpus,
-            "frame_cycles": self.frame_cycles,
-            "composition_groups": self.composition_groups,
-            "accelerated_groups": self.accelerated_groups,
-            "link_retries": self.link_retries,
-            "retransmitted_bytes": self.retransmitted_bytes,
-            "backoff_cycles": self.backoff_cycles,
-            "dropped_transfers": self.dropped_transfers,
-            "corrupted_transfers": self.corrupted_transfers,
-            "failed_gpus": list(self.failed_gpus),
-            "redistributed_draws": self.redistributed_draws,
-            "recovery_cycles": self.recovery_cycles,
-            "baseline_frame_cycles": self.baseline_frame_cycles,
-            "frame_index": self.frame_index,
-            "fault_events": self.fault_events,
-            "sanitizer_accesses": self.sanitizer_accesses,
-            "artifact_hits": self.artifact_hits,
-            "artifact_misses": self.artifact_misses,
-            "artifact_evictions": self.artifact_evictions,
-            "artifact_disk_loads": self.artifact_disk_loads,
-            "artifact_disk_corrupt": self.artifact_disk_corrupt,
-            "serve_requests": self.serve_requests,
-            "serve_admitted": self.serve_admitted,
-            "serve_completed": self.serve_completed,
-            "serve_rejected": self.serve_rejected,
-            "serve_throttled": self.serve_throttled,
-            "serve_shed": self.serve_shed,
-            "serve_requeued": self.serve_requeued,
-            "serve_batches": self.serve_batches,
-            "serve_queue_peak": self.serve_queue_peak,
-            "serve_deadline_misses": self.serve_deadline_misses,
-            "serve_degraded_events": self.serve_degraded_events,
-            "serve_latency_p50_cycles": self.serve_latency_p50_cycles,
-            "serve_latency_p95_cycles": self.serve_latency_p95_cycles,
-            "serve_latency_p99_cycles": self.serve_latency_p99_cycles,
-            "serve_overlap_cycles": self.serve_overlap_cycles,
-            "serve_overlapped_batches": self.serve_overlapped_batches,
-            "pipeline_depth": self.pipeline_depth,
-            "pipeline_stall_cycles": self.pipeline_stall_cycles,
-            "comp_overlap_cycles": self.comp_overlap_cycles,
-            "idle_cycles": self.idle_cycles,
-            "scheduler_groups_peak": self.scheduler_groups_peak,
-            "gpus": [{
-                "stage_cycles": dict(g.stage_cycles),
-                "traffic_bytes": dict(g.traffic_bytes),
-                "triangles_processed": g.triangles_processed,
-                "fragments_generated": g.fragments_generated,
-                "fragments_early_z_tested": g.fragments_early_z_tested,
-                "fragments_passed_early_z": g.fragments_passed_early_z,
-                "fragments_passed_late": g.fragments_passed_late,
-                "fragments_shaded": g.fragments_shaded,
-                "draws_executed": g.draws_executed,
-                "busy_until": g.busy_until,
-            } for g in self.gpus],
-        }
+        data: Dict[str, object] = {"num_gpus": self.num_gpus}
+        data.update(_dump(self, _JOURNALED))
+        data["gpus"] = [_dump(gpu, _GPU_FIELDS) for gpu in self.gpus]
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunStats":
-        """Rebuild a :meth:`to_dict` snapshot (draw samples are not kept)."""
-        stats = cls(num_gpus=int(data["num_gpus"]),
-                    frame_cycles=float(data["frame_cycles"]),
-                    composition_groups=int(data["composition_groups"]),
-                    accelerated_groups=int(data["accelerated_groups"]),
-                    link_retries=int(data["link_retries"]),
-                    retransmitted_bytes=float(data["retransmitted_bytes"]),
-                    backoff_cycles=float(data["backoff_cycles"]),
-                    dropped_transfers=int(data["dropped_transfers"]),
-                    corrupted_transfers=int(data["corrupted_transfers"]),
-                    failed_gpus=[int(g) for g in data["failed_gpus"]],
-                    redistributed_draws=int(data["redistributed_draws"]),
-                    recovery_cycles=float(data["recovery_cycles"]),
-                    baseline_frame_cycles=float(
-                        data["baseline_frame_cycles"]),
-                    # absent in journals written before these fields existed
-                    frame_index=int(data.get("frame_index", 0)),
-                    fault_events=int(data.get("fault_events", 0)),
-                    sanitizer_accesses=int(
-                        data.get("sanitizer_accesses", 0)),
-                    artifact_hits=int(data.get("artifact_hits", 0)),
-                    artifact_misses=int(data.get("artifact_misses", 0)),
-                    artifact_evictions=int(
-                        data.get("artifact_evictions", 0)),
-                    artifact_disk_loads=int(
-                        data.get("artifact_disk_loads", 0)),
-                    artifact_disk_corrupt=int(
-                        data.get("artifact_disk_corrupt", 0)),
-                    serve_requests=int(data.get("serve_requests", 0)),
-                    serve_admitted=int(data.get("serve_admitted", 0)),
-                    serve_completed=int(data.get("serve_completed", 0)),
-                    serve_rejected=int(data.get("serve_rejected", 0)),
-                    serve_throttled=int(data.get("serve_throttled", 0)),
-                    serve_shed=int(data.get("serve_shed", 0)),
-                    serve_requeued=int(data.get("serve_requeued", 0)),
-                    serve_batches=int(data.get("serve_batches", 0)),
-                    serve_queue_peak=int(data.get("serve_queue_peak", 0)),
-                    serve_deadline_misses=int(
-                        data.get("serve_deadline_misses", 0)),
-                    serve_degraded_events=int(
-                        data.get("serve_degraded_events", 0)),
-                    serve_latency_p50_cycles=float(
-                        data.get("serve_latency_p50_cycles", 0.0)),
-                    serve_latency_p95_cycles=float(
-                        data.get("serve_latency_p95_cycles", 0.0)),
-                    serve_latency_p99_cycles=float(
-                        data.get("serve_latency_p99_cycles", 0.0)),
-                    serve_overlap_cycles=float(
-                        data.get("serve_overlap_cycles", 0.0)),
-                    serve_overlapped_batches=int(
-                        data.get("serve_overlapped_batches", 0)),
-                    pipeline_depth=int(data.get("pipeline_depth", 0)),
-                    pipeline_stall_cycles=float(
-                        data.get("pipeline_stall_cycles", 0.0)),
-                    comp_overlap_cycles=float(
-                        data.get("comp_overlap_cycles", 0.0)),
-                    idle_cycles=float(data.get("idle_cycles", 0.0)),
-                    scheduler_groups_peak=int(
-                        data.get("scheduler_groups_peak", 0)))
-        stats.gpus = []
-        for entry in data["gpus"]:
-            gpu = GPUStats(
-                triangles_processed=int(entry["triangles_processed"]),
-                fragments_generated=int(entry["fragments_generated"]),
-                fragments_early_z_tested=int(
-                    entry["fragments_early_z_tested"]),
-                fragments_passed_early_z=int(
-                    entry["fragments_passed_early_z"]),
-                fragments_passed_late=int(entry["fragments_passed_late"]),
-                fragments_shaded=int(entry["fragments_shaded"]),
-                draws_executed=int(entry["draws_executed"]),
-                busy_until=float(entry["busy_until"]))
-            gpu.stage_cycles.update(entry["stage_cycles"])
-            gpu.traffic_bytes.update(entry["traffic_bytes"])
-            stats.gpus.append(gpu)
+        """Rebuild a :meth:`to_dict` snapshot.
+
+        Grouped counters absent from ``data`` (journals written before
+        they existed) keep their defaults; every other field is required.
+        """
+        stats = cls(num_gpus=int(data["num_gpus"]))
+        _load(stats, data, _JOURNALED)
+        stats.gpus = [_load(GPUStats(), entry, _GPU_FIELDS)
+                      for entry in data["gpus"]]
         return stats
 
     @property
@@ -451,6 +313,63 @@ class RunStats:
     @property
     def total_triangles(self) -> int:
         return sum(g.triangles_processed for g in self.gpus)
+
+
+def _dump(obj, specs) -> Dict[str, object]:
+    """``specs`` of ``obj`` by name; containers are copied, not shared."""
+    data: Dict[str, object] = {}
+    for spec in specs:
+        value = getattr(obj, spec.name)
+        if isinstance(value, dict):
+            value = dict(value)
+        elif isinstance(value, list):
+            value = list(value)
+        data[spec.name] = value
+    return data
+
+
+def _load(obj, data: Mapping, specs):
+    """Set ``specs`` on ``obj`` from ``data``, cast to each default's type
+    (the one journaled list, ``failed_gpus``, holds GPU indices)."""
+    for spec in specs:
+        if spec.name not in data and "group" in spec.metadata:
+            continue
+        raw = data[spec.name]
+        current = getattr(obj, spec.name)
+        if isinstance(current, dict):
+            current.update(raw)
+        elif isinstance(current, list):
+            setattr(obj, spec.name, [int(item) for item in raw])
+        else:
+            setattr(obj, spec.name, type(current)(raw))
+    return obj
+
+
+_COUNTERS = tuple(spec for spec in fields(RunStats)
+                  if "group" in spec.metadata)
+#: fields the run journal carries besides ``num_gpus`` and ``gpus``
+_JOURNALED = tuple(spec for spec in fields(RunStats)
+                   if spec.metadata.get("journal", True)
+                   and spec.name not in ("num_gpus", "gpus"))
+_GPU_FIELDS = fields(GPUStats)
+_ARTIFACT_FIELDS = tuple(spec.name for spec in _COUNTERS
+                         if spec.metadata["group"] == "artifact")
+
+
+def _exports(group: Optional[str]) -> Tuple[Tuple[str, object], ...]:
+    return tuple((spec.metadata.get("column", spec.name),
+                  spec.metadata.get("export"))
+                 for spec in _COUNTERS
+                 if group is None or spec.metadata["group"] == group)
+
+
+#: group (None = all) -> ((export column, value converter or None), ...)
+_EXPORTS = {group: _exports(group) for group in (None,) + COUNTER_GROUPS}
+
+
+def counter_columns(group: Optional[str] = None) -> Tuple[str, ...]:
+    """Export column names of one counter group (every group if None)."""
+    return tuple(column for column, _ in _EXPORTS[group])
 
 
 def speedup(baseline: RunStats, candidate: RunStats) -> float:

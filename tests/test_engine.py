@@ -14,6 +14,7 @@ from repro.harness.engine import (Engine, Journal, JobSpec, benchmark_job,
                                   result_from_payload, spec_for_setup)
 from repro.harness.report import render_engine_summary, render_sweep
 from repro.harness.sweeps import FAILED, sweep
+from repro.stats import RunStats
 
 BENCH = ("wolf",)
 
@@ -168,6 +169,69 @@ class TestJournalResume:
     def test_missing_journal_is_a_harness_error(self, tmp_path):
         with pytest.raises(HarnessError):
             Engine(resume=tmp_path / "absent.jsonl")
+
+
+#: a run journal written by an earlier release of the engine; its last
+#: entry lacks every key that release read as optional (the counters added
+#: after the journal format, the per-attempt bookkeeping, the spec seed),
+#: which is how journals written before those existed look
+OLD_JOURNAL = pathlib.Path(__file__).parent / "data" / "journal_v1.jsonl"
+
+
+def _assert_rebuilt(stats, recorded):
+    """Rebuilt stats hold every recorded value; absent counters are 0."""
+    for key, value in recorded.items():
+        if key != "gpus":
+            assert getattr(stats, key) == value, key
+    assert len(stats.gpus) == len(recorded["gpus"])
+    for gpu, entry in zip(stats.gpus, recorded["gpus"]):
+        for key, value in entry.items():
+            assert getattr(gpu, key) == value, key
+    defaults = RunStats(num_gpus=stats.num_gpus).to_dict()
+    for key in set(defaults) - set(recorded):
+        assert getattr(stats, key) == defaults[key], key
+
+
+class TestOldJournalReplay:
+    def test_fixture_has_an_entry_in_the_old_format(self):
+        entries = list(Journal.load(OLD_JOURNAL).values())
+        assert len(entries) == 3
+        old = entries[-1]
+        assert "attempts" not in old
+        for key in ("frame_index", "sanitizer_accesses", "artifact_hits",
+                    "serve_requests", "pipeline_depth"):
+            assert key not in old["payload"]["stats"]
+
+    def test_payloads_rebuild_the_recorded_values(self):
+        for entry in Journal.load(OLD_JOURNAL).values():
+            result = result_from_payload(entry["payload"])
+            assert result.scheme == entry["payload"]["scheme"]
+            _assert_rebuilt(result.stats, entry["payload"]["stats"])
+
+    def test_engine_resume_replays_every_entry(self):
+        eng = Engine(resume=OLD_JOURNAL)
+        for entry in Journal.load(OLD_JOURNAL).values():
+            out = eng.run_job(JobSpec.from_dict(entry["spec"]))
+            assert out.resumed
+            stats = out.result().stats
+            _assert_rebuilt(stats, entry["payload"]["stats"])
+            assert stats.job_resumed is True
+            assert stats.job_attempts == entry.get("attempts", 1)
+        assert eng.counters.resumed == 3
+        assert eng.counters.jobs == 0  # nothing simulated
+
+    @pytest.mark.parametrize("drop", ["num_gpus", "frame_cycles", "gpus",
+                                      "composition_groups",
+                                      "gpus/fragments_shaded"])
+    def test_entry_missing_a_core_field_raises(self, drop):
+        entry = list(Journal.load(OLD_JOURNAL).values())[-1]
+        stats = json.loads(json.dumps(entry["payload"]["stats"]))
+        if drop.startswith("gpus/"):
+            del stats["gpus"][0][drop.split("/")[1]]
+        else:
+            del stats[drop]
+        with pytest.raises(KeyError):
+            RunStats.from_dict(stats)
 
 
 class TestDeterminism:

@@ -372,12 +372,3 @@ class TestSchemeFaultRuns:
         noisy = _run(wolf_tiny, scheme="gpupd", faults=plan, num_gpus=4)
         assert noisy.stats.link_retries > 0
         assert np.array_equal(noisy.image.color, clean.image.color)
-
-    def test_fault_summary_rows_are_flat_scalars(self, wolf_tiny):
-        plan = FaultPlan(gpu_failures=(GPUFailure(gpu=2, cycle=50000.0),))
-        degraded = _run(wolf_tiny, faults=plan)
-        summary = degraded.stats.fault_summary()
-        from repro.harness.export import FAULT_COLUMNS
-        assert set(summary) == set(FAULT_COLUMNS)
-        assert all(isinstance(v, (int, float)) for v in summary.values())
-        assert summary["failed_gpus"] == 1
